@@ -332,6 +332,7 @@ impl AlgorithmState {
         let nsess = inputs.trees.len();
         let timing = audit.is_some();
         let whole_span = timing.then(Span::new);
+        let trace = std::env::var_os("TOPOSENSE_TRACE").is_some();
 
         // Borrow the scratch pool for the interval; reinstalled at the end
         // so every buffer's allocation survives into the next run.
@@ -434,7 +435,7 @@ impl AlgorithmState {
         usage.sort_by_key(|&(l, _)| l);
         let stage_span = timing.then(Span::new);
         let mut cap_events: Vec<CapacityEvent> = Vec::new();
-        self.estimator.update_sorted_traced(
+        self.estimator.update_sorted(
             inputs.now,
             inputs.interval,
             &usage,
@@ -541,7 +542,7 @@ impl AlgorithmState {
                     backoffs.arm(t.node_at(s), mem.supply_recent, inputs.now, &cfg, &mut self.rng);
                 }
             }
-            subscription::compute_into_traced(
+            subscription::compute_into(
                 tree,
                 spec,
                 &cfg,
@@ -555,23 +556,8 @@ impl AlgorithmState {
                 timing.then_some(&mut sc.branches),
             );
 
-            if std::env::var_os("TOPOSENSE_TRACE").is_some() {
-                let mut line = format!("t={:.0}s s{}:", inputs.now.as_secs_f64(), sid.0);
-                for s in t.slots() {
-                    let inp = &sc.inputs[s];
-                    line.push_str(&format!(
-                        " n{}[h{:03b} loss={:.2} gp={:.0}k cur={:?} cap={} d={} s={}]",
-                        t.node_at(s).0,
-                        inp.hist.bits(),
-                        inp.loss,
-                        inp.goodput_bps / 1000.0,
-                        inp.current_level,
-                        sc.level_cap[s],
-                        sc.demand[s],
-                        sc.supply[s],
-                    ));
-                }
-                eprintln!("{line}");
+            if trace {
+                trace_slots(inputs.now, tree, sc);
             }
 
             // Persist this interval's history/byte updates together with
@@ -966,6 +952,7 @@ impl AlgorithmState {
         let nsess = inputs.trees.len();
         let timing = audit.is_some();
         let whole_span = timing.then(Span::new);
+        let trace = std::env::var_os("TOPOSENSE_TRACE").is_some();
 
         let mut cache = std::mem::take(&mut self.cache);
         let mut dirty = std::mem::take(&mut self.dirty);
@@ -1361,23 +1348,8 @@ impl AlgorithmState {
                 sc.supply[s] = v.max(1);
             }
 
-            if std::env::var_os("TOPOSENSE_TRACE").is_some() {
-                let mut line = format!("t={:.0}s s{}:", inputs.now.as_secs_f64(), sid.0);
-                for s in t.slots() {
-                    let inp = &sc.inputs[s];
-                    line.push_str(&format!(
-                        " n{}[h{:03b} loss={:.2} gp={:.0}k cur={:?} cap={} d={} s={}]",
-                        t.node_at(s).0,
-                        inp.hist.bits(),
-                        inp.loss,
-                        inp.goodput_bps / 1000.0,
-                        inp.current_level,
-                        sc.level_cap[s],
-                        sc.demand[s],
-                        sc.supply[s],
-                    ));
-                }
-                eprintln!("{line}");
+            if trace {
+                trace_slots(inputs.now, tree, sc);
             }
 
             // Persist into the dense copies only; the `memories` map is
@@ -1472,6 +1444,29 @@ impl AlgorithmState {
         self.runs += 1;
         outputs
     }
+}
+
+/// The `TOPOSENSE_TRACE` dump: one stderr line per session per interval
+/// with every slot's stage-5 inputs, level cap, demand and supply. Shared
+/// by the full and incremental paths so their dumps are byte-identical.
+fn trace_slots(now: SimTime, tree: &SessionTree, sc: &SessionScratch) {
+    let t = tree.tree();
+    let mut line = format!("t={:.0}s s{}:", now.as_secs_f64(), tree.session().0);
+    for s in t.slots() {
+        let inp = &sc.inputs[s];
+        line.push_str(&format!(
+            " n{}[h{:03b} loss={:.2} gp={:.0}k cur={:?} cap={} d={} s={}]",
+            t.node_at(s).0,
+            inp.hist.bits(),
+            inp.loss,
+            inp.goodput_bps / 1000.0,
+            inp.current_level,
+            sc.level_cap[s],
+            sc.demand[s],
+            sc.supply[s],
+        ));
+    }
+    eprintln!("{line}");
 }
 
 /// Assemble one session's stage-5 per-slot inputs and level caps from the

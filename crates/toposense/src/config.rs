@@ -70,11 +70,6 @@ pub struct Config {
     pub heartbeat_size: u32,
     pub ack_size: u32,
     pub deregister_size: u32,
-    /// Run the change-driven (dirty-subtree) pipeline when the interval's
-    /// inputs allow it; the controller falls back to the full pipeline on
-    /// topology change, membership churn, capacity reset, or failover.
-    /// Both paths produce byte-identical outputs (DESIGN.md §11).
-    pub incremental: bool,
     /// Replicate each interval's pipeline inputs to the peer standby so it
     /// maintains a live copy of the algorithm state (DESIGN.md §14).
     /// Requires a configured peer; a no-op on standalone controllers.
@@ -116,7 +111,6 @@ impl Default for Config {
             heartbeat_size: 32,
             ack_size: 32,
             deregister_size: 32,
-            incremental: true,
             replicate_inputs: true,
             replicate_size: 64,
             replica_ack_size: 32,
@@ -184,7 +178,8 @@ impl Config {
         fold(self.heartbeat_size as u64);
         fold(self.ack_size as u64);
         fold(self.deregister_size as u64);
-        fold(self.incremental as u64);
+        // Former `incremental: true` slot, kept so existing checkpoints restore.
+        fold(1);
         fold(self.replicate_inputs as u64);
         fold(self.replicate_size as u64);
         fold(self.replica_ack_size as u64);
@@ -199,6 +194,26 @@ mod tests {
     #[test]
     fn default_is_valid() {
         Config::default().validate();
+    }
+
+    /// The default fingerprint is part of the `toposense.checkpoint.v1`
+    /// contract: removing a field must not move it.
+    #[test]
+    fn default_fingerprint_is_stable() {
+        assert_eq!(Config::default().fingerprint(), 0x2a35c90d15756267);
+    }
+
+    /// A checkpoint captured under the default config before the
+    /// `incremental` field was removed still restores.
+    #[test]
+    fn earlier_default_checkpoint_still_restores() {
+        use crate::algorithm::AlgorithmState;
+        use crate::checkpoint::Snapshot;
+        const BLOB: &str = r#"{"schema":"toposense.checkpoint.v1","config_fingerprint":3041558181390410343,"runs":0,"rng":[15132559544690654990,2144709105421820653,11791032358012124791,6697729829739896856],"estimates":[],"memories":[],"backoffs":[]}"#;
+        let snap = Snapshot::decode(BLOB).expect("blob parses");
+        let state = AlgorithmState::restore(Config::default(), &snap).expect("restores");
+        assert_eq!(state.checkpoint(), snap);
+        assert_eq!(AlgorithmState::new(Config::default(), 1).checkpoint().encode(), BLOB);
     }
 
     #[test]

@@ -37,8 +37,8 @@ use crate::algorithm::{
 use crate::checkpoint::Snapshot;
 use crate::config::Config;
 use crate::messages::{
-    CheckpointTransfer, Deregister, Heartbeat, Register, RegisterAck, ReplicaAck, ReplicateInputs,
-    Report, Suggestion,
+    CheckpointTransfer, Deregister, Heartbeat, IntervalInputs, Register, RegisterAck, ReplicaAck,
+    ReplicateInputs, Report, Suggestion,
 };
 use crate::replication::{fingerprint_outputs, AckVerdict, ReplicaTracker};
 use crate::sync::lock_or_recover;
@@ -379,18 +379,7 @@ impl Controller {
             },
         };
 
-        // 2. Per-session overlay trees. Transiently inconsistent snapshots
-        // (a node with two parents mid-regraft) skip the session this round.
-        let mut trees: Vec<SessionTree> = Vec::with_capacity(self.catalog.len());
-        for def in self.catalog.iter() {
-            if let Ok(t) = SessionTree::build(&view, def.id, &def.groups) {
-                trees.push(t);
-            }
-        }
-        let specs: Vec<&LayerSpec> =
-            trees.iter().map(|t| &self.catalog.get(t.session()).spec).collect();
-
-        // 3. Assemble the interval's reports: fresh data, else the most
+        // 2. Assemble the interval's reports: fresh data, else the most
         // recent report if it is not too old (reports can be lost).
         // Receivers silent past quarantine_after are withheld entirely —
         // their data is stale and a suggestion to them is likely wasted.
@@ -430,14 +419,14 @@ impl Controller {
             }
         }
 
-        // 4. Run the algorithm and send the suggestions.
-        let inputs = AlgorithmInputs {
+        // 3. Run the interval step and send the suggestions.
+        let batch = IntervalInputs {
             now,
             interval: self.cfg.interval,
-            trees: &trees,
-            specs: &specs,
-            registry: &registry,
-            reports: &reports,
+            view,
+            registry,
+            reports,
+            border_caps: self.state.border_caps().to_vec(),
         };
         // With telemetry attached, the same run also fills a decision
         // audit: one record per stage, stamped with this interval's
@@ -447,11 +436,7 @@ impl Controller {
         // The interval's replication seq is the completed-run count before
         // the run: a replica applying seq `n` goes from `n` to `n + 1`.
         let seq = self.state.runs();
-        let outputs = if self.cfg.incremental {
-            self.state.run_incremental_audited(&inputs, audit.as_mut())
-        } else {
-            self.state.run_audited(&inputs, audit.as_mut())
-        };
+        let outputs = self.run_interval(&batch, audit.as_mut());
         if let Some(a) = &audit {
             for record in a.records() {
                 self.telemetry.emit(&record);
@@ -500,23 +485,19 @@ impl Controller {
             let hb: ControlBody = Arc::new(Heartbeat { from: my_node, time: now });
             ctx.send_control(peer, self.cfg.heartbeat_size, hb);
             // Replicate this interval's pipeline inputs (DESIGN.md §14):
-            // the replica runs the same byte-deterministic pipeline over
-            // them, so its AlgorithmState stays a live twin and a takeover
-            // needs zero re-learning. A quarantined peer gets nothing —
-            // its state already diverged.
+            // the replica runs the same interval step over the same batch,
+            // so its AlgorithmState stays a live twin and a takeover needs
+            // zero re-learning. A quarantined peer gets nothing — its
+            // state already diverged.
             if self.cfg.replicate_inputs && !self.repl_peer_quarantined {
                 let fingerprint = fingerprint_outputs(&outputs);
                 self.repl_tracker.record(seq, fingerprint);
-                let size = self.cfg.replicate_size + self.cfg.report_size * reports.len() as u32;
+                let size =
+                    self.cfg.replicate_size + self.cfg.report_size * batch.reports.len() as u32;
                 let body: ControlBody = Arc::new(ReplicateInputs {
                     seq,
                     algo_seed: self.algo_seed,
-                    now,
-                    interval: self.cfg.interval,
-                    view: view.clone(),
-                    registry: registry.clone(),
-                    reports: reports.clone(),
-                    border_caps: self.state.border_caps().to_vec(),
+                    batch,
                     fingerprint,
                     from: my_node,
                 });
@@ -527,7 +508,7 @@ impl Controller {
 
         self.telemetry.incr("controller.intervals", 1);
         self.telemetry.incr("controller.intervals_incremental", outputs.incremental as u64);
-        if self.cfg.incremental && !outputs.incremental {
+        if !outputs.incremental {
             self.telemetry.incr("controller.full_fallbacks", 1);
         }
         self.telemetry.incr("controller.slots_recomputed", outputs.slots_recomputed);
@@ -556,6 +537,38 @@ impl Controller {
             sh.flight.note(now.nanos(), "fallback", seq, "degraded");
         }
         sh.flight.note(now.nanos(), "interval_end", seq, "");
+    }
+
+    /// The one interval step, shared by the primary's `tick` and the
+    /// replica's `apply_replicated` so the twins cannot drift: install the
+    /// batch's border caps, overlay each session's per-layer trees from the
+    /// batch's view, and run the change-driven pipeline (which takes the
+    /// full path and reprimes its cache whenever it must). Transiently
+    /// inconsistent snapshots (a node with two parents mid-regraft) skip
+    /// the session this round.
+    fn run_interval(
+        &mut self,
+        batch: &IntervalInputs,
+        audit: Option<&mut IntervalAudit>,
+    ) -> AlgorithmOutputs {
+        self.state.set_border_caps(&batch.border_caps);
+        let mut trees: Vec<SessionTree> = Vec::with_capacity(self.catalog.len());
+        for def in self.catalog.iter() {
+            if let Ok(t) = SessionTree::build(&batch.view, def.id, &def.groups) {
+                trees.push(t);
+            }
+        }
+        let specs: Vec<&LayerSpec> =
+            trees.iter().map(|t| &self.catalog.get(t.session()).spec).collect();
+        let inputs = AlgorithmInputs {
+            now: batch.now,
+            interval: batch.interval,
+            trees: &trees,
+            specs: &specs,
+            registry: &batch.registry,
+            reports: &batch.reports,
+        };
+        self.state.run_incremental_audited(&inputs, audit)
     }
 
     /// Evict receivers silent past `evict_after`; returns how many fell.
@@ -662,32 +675,8 @@ impl Controller {
                 return;
             }
         }
-        // Overlay the session trees exactly as the primary did, from the
-        // replicated view and this replica's identical catalog.
-        let mut trees: Vec<SessionTree> = Vec::with_capacity(self.catalog.len());
-        for def in self.catalog.iter() {
-            if let Ok(t) = SessionTree::build(&m.view, def.id, &def.groups) {
-                trees.push(t);
-            }
-        }
-        let specs: Vec<&LayerSpec> =
-            trees.iter().map(|t| &self.catalog.get(t.session()).spec).collect();
-        // Border caps are pipeline inputs too: the twin must run under the
-        // same root ceilings or its fingerprint diverges.
-        self.state.set_border_caps(&m.border_caps);
-        let inputs = AlgorithmInputs {
-            now: m.now,
-            interval: m.interval,
-            trees: &trees,
-            specs: &specs,
-            registry: &m.registry,
-            reports: &m.reports,
-        };
-        let out = if self.cfg.incremental {
-            self.state.run_incremental(&inputs)
-        } else {
-            self.state.run(&inputs)
-        };
+        // The same step the primary ran, over the batch it ran it on.
+        let out = self.run_interval(&m.batch, None);
         self.repl_next_seq = Some(m.seq + 1);
         let fp = fingerprint_outputs(&out);
         let ack: ControlBody =

@@ -127,6 +127,27 @@ pub struct Heartbeat {
     pub time: SimTime,
 }
 
+/// One interval's complete pipeline inputs, owned. The active controller
+/// assembles it, runs its pipeline over it, and then hands the same value
+/// to its replica inside a [`ReplicateInputs`]; the replica runs the same
+/// interval step over it, so the twins agree by construction.
+#[derive(Clone, Debug)]
+pub struct IntervalInputs {
+    pub now: SimTime,
+    pub interval: SimDuration,
+    /// The (staleness-filtered, domain-clipped) topology the session trees
+    /// are overlaid from.
+    pub view: TopologyView,
+    /// The quarantine-filtered registry, sorted by receiver.
+    pub registry: Vec<(AppId, NodeId, SessionId)>,
+    /// The interval's report batch, exactly as the pipeline consumes it.
+    pub reports: Vec<ReceiverReport>,
+    /// The border caps in force for this interval (federation input,
+    /// DESIGN.md §16): the replica must run under the same root ceilings
+    /// or its output fingerprint diverges.
+    pub border_caps: Vec<(SessionId, u8)>,
+}
+
 /// Active controller -> replica: one interval's complete pipeline inputs
 /// (DESIGN.md §14). The replica feeds them through its own copy of the
 /// byte-deterministic five-stage pipeline; because the inputs — not the
@@ -142,20 +163,8 @@ pub struct ReplicateInputs {
     /// re-seeds its pipeline with this so the twin tracks the primary's
     /// draw sequence bit-for-bit.
     pub algo_seed: u64,
-    pub now: SimTime,
-    pub interval: SimDuration,
-    /// The (staleness-filtered, domain-clipped) topology the primary built
-    /// its session trees from.
-    pub view: TopologyView,
-    /// The primary's quarantine-filtered registry, sorted by receiver.
-    pub registry: Vec<(AppId, NodeId, SessionId)>,
-    /// The interval's report batch, exactly as the pipeline consumed it.
-    pub reports: Vec<ReceiverReport>,
-    /// The border caps in force when the primary ran (federation input,
-    /// DESIGN.md §16). Replicated like every other pipeline input so the
-    /// twin's root ceilings — and therefore its output fingerprint — stay
-    /// byte-identical to the primary's.
-    pub border_caps: Vec<(SessionId, u8)>,
+    /// The inputs the primary ran this interval.
+    pub batch: IntervalInputs,
     /// The primary's own output fingerprint for this interval
     /// ([`crate::replication::fingerprint_outputs`]) — what the replica's
     /// ack is cross-checked against.

@@ -246,11 +246,7 @@ impl Cluster {
             if !self.votable(&self.replicas[i]) {
                 continue;
             }
-            let out = if self.cfg.incremental {
-                self.replicas[i].state.run_incremental(inputs)
-            } else {
-                self.replicas[i].state.run(inputs)
-            };
+            let out = self.replicas[i].state.run_incremental(inputs);
             self.replicas[i].next_seq += 1;
             votes.push((i, fingerprint_outputs(&out), out));
         }

@@ -103,7 +103,7 @@ impl CapacityEstimator {
     }
 
     /// Update a single link from this interval's observations, exactly as
-    /// [`Self::update_sorted_traced`] would when reaching `link`'s run —
+    /// [`Self::update_sorted`] would when reaching `link`'s run —
     /// minus the reset pass, which the incremental caller has already
     /// proven to be a no-op via [`Self::has_pending_reset`].
     pub(crate) fn update_link_traced(
@@ -141,22 +141,13 @@ impl CapacityEstimator {
     /// with the same link form that link's observation list. The slice
     /// must be sorted by link with a stable sort so per-link session order
     /// is preserved.
-    pub fn update_sorted(
-        &mut self,
-        now: SimTime,
-        interval: SimDuration,
-        sorted: &[(DirLinkId, SessionLinkObs)],
-        cfg: &Config,
-    ) {
-        self.update_sorted_traced(now, interval, sorted, cfg, None);
-    }
-
-    /// [`Self::update_sorted`] plus an optional audit of what happened to
-    /// each estimate (see [`CapacityEvent`]). The event log is write-only:
+    ///
+    /// `events`, when `Some`, receives an audit of what happened to each
+    /// estimate (see [`CapacityEvent`]). The event log is write-only:
     /// passing `Some` vs `None` cannot change any estimate. Events from
     /// the periodic reset pass come from `HashMap` iteration, so callers
     /// that need determinism must sort the collected events by link.
-    pub fn update_sorted_traced(
+    pub fn update_sorted(
         &mut self,
         now: SimTime,
         interval: SimDuration,
@@ -426,7 +417,7 @@ mod tests {
 
         let mut ev = Vec::new();
         let dead = vec![(l(0), obs(0, 0.0, 0)), (l(0), obs(1, 0.0, 0))];
-        est.update_sorted_traced(SimTime::from_secs(4), INTERVAL, &dead, &cfg(), Some(&mut ev));
+        est.update_sorted(SimTime::from_secs(4), INTERVAL, &dead, &cfg(), Some(&mut ev));
         let c1 = est.capacity(l(0)).unwrap();
         assert!(c1.is_finite());
         assert_eq!(c1, c0, "dead-air shared interval must hold, not creep");
@@ -459,7 +450,7 @@ mod tests {
         let mut flat: Vec<(DirLinkId, SessionLinkObs)> =
             usage.iter().flat_map(|(&link, v)| v.iter().map(move |&o| (link, o))).collect();
         flat.sort_by_key(|&(link, _)| link);
-        b.update_sorted(SimTime::from_secs(2), INTERVAL, &flat, &c);
+        b.update_sorted(SimTime::from_secs(2), INTERVAL, &flat, &c, None);
 
         for i in 0..3 {
             assert_eq!(a.capacity(l(i)), b.capacity(l(i)), "link {i}");
@@ -475,13 +466,13 @@ mod tests {
         let quiet = vec![(l(0), obs(0, 0.0, 100_000)), (l(0), obs(1, 0.0, 25_000))];
 
         let mut ev = Vec::new();
-        est.update_sorted_traced(SimTime::from_secs(2), INTERVAL, &lossy, &c, Some(&mut ev));
+        est.update_sorted(SimTime::from_secs(2), INTERVAL, &lossy, &c, Some(&mut ev));
         assert_eq!(ev.len(), 1);
         assert_eq!((ev[0].0, ev[0].2), (l(0), "learned"));
         let learned_bps = ev[0].1;
 
         ev.clear();
-        est.update_sorted_traced(SimTime::from_secs(4), INTERVAL, &quiet, &c, Some(&mut ev));
+        est.update_sorted(SimTime::from_secs(4), INTERVAL, &quiet, &c, Some(&mut ev));
         assert_eq!((ev[0].0, ev[0].2), (l(0), "crept"));
         assert!(ev[0].1 > learned_bps);
 
@@ -489,13 +480,13 @@ mod tests {
         // audit says so.
         ev.clear();
         let solo = vec![(l(0), obs(0, 0.3, 100_000))];
-        est.update_sorted_traced(SimTime::from_secs(6), INTERVAL, &solo, &c, Some(&mut ev));
+        est.update_sorted(SimTime::from_secs(6), INTERVAL, &solo, &c, Some(&mut ev));
         assert_eq!((ev[0].0, ev[0].2), (l(0), "held"));
 
         // Past the reset horizon with clean traffic: reset is reported
         // with the discarded value.
         ev.clear();
-        est.update_sorted_traced(SimTime::from_secs(60), INTERVAL, &quiet, &c, Some(&mut ev));
+        est.update_sorted(SimTime::from_secs(60), INTERVAL, &quiet, &c, Some(&mut ev));
         assert_eq!((ev[0].0, ev[0].2), (l(0), "reset"));
         assert!(est.capacity(l(0)).is_none());
 
@@ -503,7 +494,7 @@ mod tests {
         // in the same state.
         let mut twin = CapacityEstimator::new();
         for (t, usage) in [(2u64, &lossy), (4, &quiet), (6, &solo), (60, &quiet)] {
-            twin.update_sorted(SimTime::from_secs(t), INTERVAL, usage, &c);
+            twin.update_sorted(SimTime::from_secs(t), INTERVAL, usage, &c, None);
         }
         assert_eq!(twin.capacity(l(0)), est.capacity(l(0)));
         assert_eq!(twin.estimated_links(), est.estimated_links());

@@ -236,6 +236,7 @@ pub fn compute(
         rng,
         &mut demand_v,
         &mut supply_v,
+        None,
     );
     let demand = t.slots().map(|s| (t.node_at(s), demand_v[s])).collect();
     let supply = t.slots().map(|s| (t.node_at(s), supply_v[s])).collect();
@@ -249,31 +250,14 @@ pub fn compute(
 /// Backoff timers stay keyed by [`NodeId`] because they outlive any one
 /// tree shape; the bottom-up slot order equals the reverse-BFS node order,
 /// so the RNG draw sequence matches the [`NodeId`]-indexed adapter.
-#[allow(clippy::too_many_arguments)]
-pub fn compute_into(
-    tree: &SessionTree,
-    spec: &LayerSpec,
-    cfg: &Config,
-    now: SimTime,
-    inputs: &[NodeInputs],
-    level_cap: &[u8],
-    backoffs: &mut BackoffTable,
-    rng: &mut RngStream,
-    demand: &mut Vec<u8>,
-    supply: &mut Vec<u8>,
-) {
-    compute_into_traced(
-        tree, spec, cfg, now, inputs, level_cap, backoffs, rng, demand, supply, None,
-    );
-}
-
-/// [`compute_into`] plus an optional per-slot audit of which Table I
-/// branch each decision took (`branches[slot]` receives a label like
+///
+/// `branches`, when `Some`, receives a per-slot audit of which Table I
+/// branch each decision took (`branches[slot]` gets a label like
 /// `"leaf.add"` or `"internal.reduce_half"`). The trace is write-only —
 /// passing `Some` vs `None` cannot change demand/supply or the RNG draw
 /// sequence, which is what keeps telemetry a pure observer.
 #[allow(clippy::too_many_arguments)]
-pub fn compute_into_traced(
+pub fn compute_into(
     tree: &SessionTree,
     spec: &LayerSpec,
     cfg: &Config,
@@ -321,7 +305,7 @@ pub fn compute_into_traced(
     }
 }
 
-/// The per-slot Table I decision kernel of [`compute_into_traced`]: one
+/// The per-slot Table I decision kernel of [`compute_into`]: one
 /// slot's demand (already clamped to the base layer) and branch label,
 /// given its children's (already computed) entries in `demand`. Exposed to
 /// the crate so the incremental path runs the exact same decision code —
@@ -787,7 +771,7 @@ mod tests {
             let mut backoffs = BackoffTable::new();
             let mut rng = RngStream::derive(7, "stage5-trace-test");
             let (mut demand, mut supply) = (Vec::new(), Vec::new());
-            compute_into_traced(
+            compute_into(
                 &tree,
                 &spec,
                 &cfg,

@@ -3,7 +3,8 @@
 //! `AlgorithmState::run` byte for byte — suggestions, capacity estimates,
 //! congestion counts and root supply — across randomized report churn,
 //! membership churn (the fallback path), every canned chaos plan through
-//! the full simulator, and a large balanced domain.
+//! the full simulator (against pinned full-path digests), and a large
+//! balanced domain.
 //!
 //! Comparisons are exact (`==` on floats included): the incremental path
 //! promises identical arithmetic on the slots it recomputes and untouched
@@ -223,53 +224,75 @@ proptest! {
     }
 }
 
-/// Every canned chaos plan, simulated end to end twice — once with the
-/// change-driven pipeline, once with it disabled — must produce identical
-/// controller decisions and receiver behaviour. This exercises the
-/// fallback triggers the unit tests cannot reach: topology changes from
-/// link flaps and router crashes, degraded-discovery intervals, capacity
-/// resets, and the failover-promoted standby's `invalidate()`.
+/// FNV-1a fold of one little-endian `u64`.
+fn fold(h: &mut u64, v: u64) {
+    for b in v.to_le_bytes() {
+        *h ^= b as u64;
+        *h = h.wrapping_mul(0x100000001b3);
+    }
+}
+
+/// Digest of a simulated run's decisions: the controller's and the
+/// standby's suggestion and congestion series, then every receiver's level
+/// changes.
+fn decision_digest(r: &scenarios::ScenarioResult) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for c in [&r.controller, &r.standby] {
+        let Some(c) = c else {
+            fold(&mut h, 0);
+            continue;
+        };
+        fold(&mut h, 1);
+        fold(&mut h, c.suggestion_series.len() as u64);
+        for (t, batch) in &c.suggestion_series {
+            fold(&mut h, t.nanos());
+            fold(&mut h, batch.len() as u64);
+            for s in batch {
+                fold(&mut h, s.receiver.0 as u64);
+                fold(&mut h, s.session.0 as u64);
+                fold(&mut h, s.level as u64);
+            }
+        }
+        fold(&mut h, c.congestion_series.len() as u64);
+        for &(t, n) in &c.congestion_series {
+            fold(&mut h, t.nanos());
+            fold(&mut h, n as u64);
+        }
+    }
+    fold(&mut h, r.receivers.len() as u64);
+    for rc in &r.receivers {
+        fold(&mut h, rc.stats.changes.len() as u64);
+        for &(t, from, to) in &rc.stats.changes {
+            fold(&mut h, t.nanos());
+            fold(&mut h, from as u64);
+            fold(&mut h, to as u64);
+        }
+    }
+    h
+}
+
+/// Every canned chaos plan, simulated end to end, must reproduce the
+/// decisions of the full (non-incremental) pipeline. The pins are digests
+/// of full-path runs of the same plans and seeds, taken when the full path
+/// was still selectable per controller and checked equal to the
+/// change-driven runs then. This exercises the fallback triggers the unit
+/// tests cannot reach: topology changes from link flaps and router
+/// crashes, degraded-discovery intervals, capacity resets, and the
+/// failover-promoted standby's `invalidate()`.
 #[test]
-fn chaos_plans_match_with_and_without_incremental() {
+fn chaos_plans_match_pinned_full_path_digests() {
     use scenarios::chaos;
 
     let plans = [
-        ("link_flap", chaos::link_flap(1).0),
-        ("router_crash", chaos::router_crash(1).0),
-        ("discovery_outage", chaos::discovery_outage(2).0),
-        ("partial_discovery_outage", chaos::partial_discovery_outage(3).0),
-        ("controller_failover", chaos::controller_failover(4).0),
+        ("link_flap", chaos::link_flap(1).0, 0x861cd44827500559),
+        ("router_crash", chaos::router_crash(1).0, 0x6ddef39cce63b60a),
+        ("discovery_outage", chaos::discovery_outage(2).0, 0x10757189aa2bda55),
+        ("partial_discovery_outage", chaos::partial_discovery_outage(3).0, 0x2d86e8ceecdd277b),
+        ("controller_failover", chaos::controller_failover(4).0, 0x8bb116315106c71f),
     ];
-    for (name, scenario) in plans {
-        let mut with_inc = scenario.clone();
-        with_inc.cfg.incremental = true;
-        let mut without = scenario;
-        without.cfg.incremental = false;
-
-        let a = scenarios::run(&with_inc);
-        let b = scenarios::run(&without);
-
-        for (ca, cb) in [(&a.controller, &b.controller), (&a.standby, &b.standby)] {
-            assert_eq!(ca.is_some(), cb.is_some(), "{name}: controller presence diverged");
-            if let (Some(ca), Some(cb)) = (ca, cb) {
-                assert_eq!(
-                    ca.suggestion_series, cb.suggestion_series,
-                    "{name}: suggestion series diverged"
-                );
-                assert_eq!(
-                    ca.congestion_series, cb.congestion_series,
-                    "{name}: congestion series diverged"
-                );
-            }
-        }
-        assert_eq!(a.receivers.len(), b.receivers.len(), "{name}");
-        for (ra, rb) in a.receivers.iter().zip(&b.receivers) {
-            assert_eq!(
-                ra.stats.changes, rb.stats.changes,
-                "{name}: receiver {:?} level changes diverged",
-                ra.node
-            );
-        }
+    for (name, scenario, pinned) in plans {
+        let got = decision_digest(&scenarios::run(&scenario));
+        assert_eq!(got, pinned, "{name}: decisions diverged from the full path ({got:#018x})");
     }
 }
 

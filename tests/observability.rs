@@ -246,7 +246,7 @@ fn forced_quarantine_produces_a_validating_blackbox() {
 #[test]
 fn failed_campaign_gates_produce_validating_blackboxes() {
     // Same sabotage as tests/campaign.rs: creep capacity up while gating
-    // everything else shut, so gates must fail.
+    // everything else shut, so the deviation gates must fail.
     let broken = Config {
         capacity_creep: 2.0,
         capacity_loss_threshold: 1.0,
@@ -254,7 +254,6 @@ fn failed_campaign_gates_produce_validating_blackboxes() {
         high_loss: 0.98,
         very_high_loss: 0.99,
         unilateral_drop_loss: 10.0,
-        incremental: false,
         ..chaos::chaos_config()
     };
     let spec = CampaignSpec::new("zoo-broken-bb", 1, Profile::Smoke).with_config_override(broken);

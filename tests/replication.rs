@@ -122,17 +122,10 @@ macro_rules! assert_outputs_eq {
 }
 
 /// The oracle: a single never-interrupted `AlgorithmState` fed the same
-/// inputs the cluster gets.
-fn oracle_run(
-    state: &mut AlgorithmState,
-    cfg: &Config,
-    inputs: &AlgorithmInputs<'_>,
-) -> AlgorithmOutputs {
-    if cfg.incremental {
-        state.run_incremental(inputs)
-    } else {
-        state.run(inputs)
-    }
+/// inputs the cluster gets, on the full path so it stays independent of
+/// the change cache under test.
+fn oracle_run(state: &mut AlgorithmState, inputs: &AlgorithmInputs<'_>) -> AlgorithmOutputs {
+    state.run(inputs)
 }
 
 /// Crash the primary mid-stream: the promoted replica must resume the
@@ -162,7 +155,7 @@ fn failover_resumes_byte_identical_to_no_crash_oracle() {
         }
         churn(&mut reports, &mut rng);
         let inputs = inputs_at(2 * round, &trees, &specs, &registry, &reports);
-        let want = oracle_run(&mut oracle, &cfg, &inputs);
+        let want = oracle_run(&mut oracle, &inputs);
         let got = cluster.tick(&inputs);
         assert_outputs_eq!(assert, want, got.outputs, format_args!("round {round}"));
         assert_eq!(got.fingerprint, fingerprint_outputs(&want), "round {round}");
@@ -192,7 +185,7 @@ fn bit_flip_divergence_is_detected_and_quarantined_within_one_interval() {
     for round in 1..=4u64 {
         churn(&mut reports, &mut rng);
         let inputs = inputs_at(2 * round, &trees, &specs, &registry, &reports);
-        let want = oracle_run(&mut oracle, &cfg, &inputs);
+        let want = oracle_run(&mut oracle, &inputs);
         let got = cluster.tick(&inputs);
         assert_outputs_eq!(assert, want, got.outputs, format_args!("warmup round {round}"));
     }
@@ -201,7 +194,7 @@ fn bit_flip_divergence_is_detected_and_quarantined_within_one_interval() {
     cluster.bit_flip(1);
     churn(&mut reports, &mut rng);
     let inputs = inputs_at(10, &trees, &specs, &registry, &reports);
-    let want = oracle_run(&mut oracle, &cfg, &inputs);
+    let want = oracle_run(&mut oracle, &inputs);
     let got = cluster.tick(&inputs);
     assert_eq!(got.newly_quarantined, vec![1], "divergence must be caught the same interval");
     assert!(!got.view_changed, "a follower's divergence must not depose the primary");
@@ -213,7 +206,7 @@ fn bit_flip_divergence_is_detected_and_quarantined_within_one_interval() {
     for round in 6..=9u64 {
         churn(&mut reports, &mut rng);
         let inputs = inputs_at(2 * round, &trees, &specs, &registry, &reports);
-        let want = oracle_run(&mut oracle, &cfg, &inputs);
+        let want = oracle_run(&mut oracle, &inputs);
         let got = cluster.tick(&inputs);
         assert_outputs_eq!(assert, want, got.outputs, format_args!("round {round}"));
         assert!(got.newly_quarantined.is_empty());
@@ -242,7 +235,7 @@ fn corrupted_primary_is_deposed_by_the_majority() {
     for round in 1..=3u64 {
         churn(&mut reports, &mut rng);
         let inputs = inputs_at(2 * round, &trees, &specs, &registry, &reports);
-        let want = oracle_run(&mut oracle, &cfg, &inputs);
+        let want = oracle_run(&mut oracle, &inputs);
         let got = cluster.tick(&inputs);
         assert_outputs_eq!(assert, want, got.outputs, format_args!("warmup round {round}"));
     }
@@ -257,7 +250,7 @@ fn corrupted_primary_is_deposed_by_the_majority() {
     for round in 4..=8u64 {
         churn(&mut reports, &mut rng);
         let inputs = inputs_at(2 * round, &trees, &specs, &registry, &reports);
-        let want = oracle_run(&mut oracle, &cfg, &inputs);
+        let want = oracle_run(&mut oracle, &inputs);
         let got = cluster.tick(&inputs);
         assert_outputs_eq!(assert, want, got.outputs, format_args!("round {round}"));
         if got.view_changed {
@@ -296,7 +289,7 @@ fn partitioned_replica_resyncs_through_checkpoint_json_and_can_lead() {
                  round: u64| {
         churn(reports, rng);
         let inputs = inputs_at(2 * round, &trees, &specs, &registry, reports);
-        let want = oracle_run(oracle, &cfg, &inputs);
+        let want = oracle_run(oracle, &inputs);
         let got = cluster.tick(&inputs);
         assert_outputs_eq!(assert, want, got.outputs, format_args!("round {round}"));
     };
@@ -334,9 +327,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// checkpoint → encode → decode → restore → resume is byte-identical
-    /// to the uninterrupted twin, wherever the cut lands and on either
-    /// pipeline (full or change-driven), with or without membership churn
-    /// mid-stream.
+    /// to the uninterrupted full-path oracle, wherever the cut lands and
+    /// whichever pipeline (full or change-driven) drives the resumed twin,
+    /// with or without membership churn mid-stream.
     #[test]
     fn checkpoint_restore_resume_matches_uninterrupted_twin(
         parents in prop::collection::vec(0usize..10, 3..12),
@@ -354,7 +347,7 @@ proptest! {
         let half_registry: Vec<_> = all_registry.iter().step_by(2).copied().collect();
         let half_reports: Vec<_> = all_reports.iter().step_by(2).cloned().collect();
         let mut rng = RngStream::derive(seed, "replication/ckpt-resume");
-        let cfg = Config { incremental, ..Config::default() };
+        let cfg = Config::default();
 
         let mut uninterrupted = AlgorithmState::new(cfg, seed);
         let mut resumed = AlgorithmState::new(cfg, seed);
@@ -369,8 +362,8 @@ proptest! {
             };
             churn(&mut reports, &mut rng);
             let inputs = inputs_at(2 * round, &trees, &specs, registry, &reports);
-            let a = oracle_run(&mut uninterrupted, &cfg, &inputs);
-            let b = oracle_run(&mut resumed, &cfg, &inputs);
+            let a = oracle_run(&mut uninterrupted, &inputs);
+            let b = if incremental { resumed.run_incremental(&inputs) } else { resumed.run(&inputs) };
             assert_outputs_eq!(prop_assert, a, b, format_args!("round {round} (cut {cut})"));
 
             if round == cut {
