@@ -10,9 +10,10 @@
 //! the newest snapshot at least `staleness` old — a delayed oracle, which is
 //! exactly the paper's model of an imperfect tool.
 
+use crate::dense::Numbering;
 use netsim::sim::Network;
 use netsim::{DirLinkId, GroupId, GroupSnapshot, NodeId, SimDuration, SimTime};
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 
 /// A directed link as seen by the discovery tool (no capacity: the paper
 /// assumes link capacities are *not* available and must be estimated).
@@ -53,7 +54,7 @@ impl TopologyView {
                 alive.then_some(LinkView { id, from, to })
             })
             .collect();
-        let kept: std::collections::HashSet<DirLinkId> = links.iter().map(|l| l.id).collect();
+        let kept: HashSet<DirLinkId> = links.iter().map(|l| l.id).collect();
         let groups = net
             .multicast_snapshot()
             .into_iter()
@@ -90,14 +91,16 @@ impl TopologyView {
     /// session enters (the forest root whose subtree contains the domain's
     /// members). A controller built on a restricted view manages only its
     /// own subtree, exactly as the paper prescribes.
-    pub fn restrict(&self, domain: &std::collections::HashSet<NodeId>) -> TopologyView {
+    pub fn restrict(&self, domain: &HashSet<NodeId>) -> TopologyView {
         let links: Vec<LinkView> = self
             .links
             .iter()
             .copied()
             .filter(|l| domain.contains(&l.from) && domain.contains(&l.to))
             .collect();
-        let kept: std::collections::HashSet<DirLinkId> = links.iter().map(|l| l.id).collect();
+        let kept: HashSet<DirLinkId> = links.iter().map(|l| l.id).collect();
+        // Indexed only once some group's root lies outside the domain.
+        let mut index: Option<LinkIndex> = None;
         let groups = self
             .groups
             .iter()
@@ -109,7 +112,9 @@ impl TopologyView {
                 let root = if domain.contains(&g.root) {
                     g.root
                 } else {
-                    self.domain_ingress(&links, &active_links, &member_nodes).unwrap_or(g.root)
+                    let index = index.get_or_insert_with(|| LinkIndex::new(&links));
+                    let graph = ActiveGraph::new(index, &active_links);
+                    domain_ingress(&graph, &active_links, &member_nodes).unwrap_or(g.root)
                 };
                 netsim::GroupSnapshot { group: g.group, root, active_links, member_nodes }
             })
@@ -117,49 +122,9 @@ impl TopologyView {
         TopologyView { time: self.time, links, groups }
     }
 
-    /// The forest root (a node with no retained in-link) whose subtree
-    /// contains a member, among the retained active links.
-    fn domain_ingress(
-        &self,
-        domain_links: &[LinkView],
-        active: &[DirLinkId],
-        members: &[NodeId],
-    ) -> Option<NodeId> {
-        let view_of = |id: &DirLinkId| domain_links.iter().find(|l| l.id == *id).copied();
-        let heads: std::collections::HashSet<NodeId> =
-            active.iter().filter_map(view_of).map(|l| l.to).collect();
-        let mut candidates: Vec<NodeId> = active
-            .iter()
-            .filter_map(view_of)
-            .map(|l| l.from)
-            .filter(|n| !heads.contains(n))
-            .collect();
-        candidates.sort_unstable();
-        candidates.dedup();
-        // BFS each candidate's component; pick the one that reaches a member.
-        for &cand in &candidates {
-            let mut seen = std::collections::HashSet::from([cand]);
-            let mut queue = std::collections::VecDeque::from([cand]);
-            while let Some(n) = queue.pop_front() {
-                if members.contains(&n) {
-                    return Some(cand);
-                }
-                for l in active.iter().filter_map(view_of) {
-                    if l.from == n && seen.insert(l.to) {
-                        queue.push_back(l.to);
-                    }
-                }
-            }
-        }
-        // No active links inside the domain yet: a lone member is its own
-        // ingress.
-        members.first().copied()
-    }
-
     /// Every node mentioned anywhere in the view.
-    fn known_nodes(&self) -> std::collections::HashSet<NodeId> {
-        let mut nodes: std::collections::HashSet<NodeId> =
-            self.links.iter().flat_map(|l| [l.from, l.to]).collect();
+    fn known_nodes(&self) -> HashSet<NodeId> {
+        let mut nodes: HashSet<NodeId> = self.links.iter().flat_map(|l| [l.from, l.to]).collect();
         for g in &self.groups {
             nodes.insert(g.root);
             nodes.extend(g.member_nodes.iter().copied());
@@ -181,48 +146,157 @@ impl TopologyView {
         // members even though the root itself is still visible; re-base such
         // groups onto the ingress of the member-bearing remainder, as
         // `restrict` does for roots outside the domain.
-        let rebased: Vec<Option<NodeId>> = v
-            .groups
-            .iter()
-            .map(|g| {
-                if g.member_nodes.is_empty()
-                    || Self::root_reaches_member(&v.links, &g.active_links, g.root, &g.member_nodes)
-                {
-                    None
-                } else {
-                    v.domain_ingress(&v.links, &g.active_links, &g.member_nodes)
+        let index = LinkIndex::new(&v.links);
+        for g in &mut v.groups {
+            if g.member_nodes.is_empty() {
+                continue;
+            }
+            let graph = ActiveGraph::new(&index, &g.active_links);
+            let members: HashSet<NodeId> = g.member_nodes.iter().copied().collect();
+            let mut seen = vec![false; index.node_count()];
+            if !graph.reaches_member(g.root, &members, &mut seen) {
+                if let Some(r) = domain_ingress(&graph, &g.active_links, &g.member_nodes) {
+                    g.root = r;
                 }
-            })
-            .collect();
-        for (g, r) in v.groups.iter_mut().zip(rebased) {
-            if let Some(r) = r {
-                g.root = r;
             }
         }
         v
     }
+}
 
-    /// Whether `root` reaches any of `members` along `active` links.
-    fn root_reaches_member(
-        links: &[LinkView],
-        active: &[DirLinkId],
-        root: NodeId,
-        members: &[NodeId],
-    ) -> bool {
-        let view_of = |id: &DirLinkId| links.iter().find(|l| l.id == *id).copied();
-        let mut seen = std::collections::HashSet::from([root]);
-        let mut queue = std::collections::VecDeque::from([root]);
+/// The forest root (a node with no in-link among the `active` links, over
+/// which `graph` is built) whose subtree contains a member: the first such
+/// root in id order, or — with no active links inside the domain yet — the
+/// first member, a lone member being its own ingress.
+fn domain_ingress(graph: &ActiveGraph, active: &[DirLinkId], members: &[NodeId]) -> Option<NodeId> {
+    let index = graph.index;
+    let mut has_in_link = vec![false; index.node_count()];
+    for &h in &graph.heads {
+        has_in_link[index.node_pos(h).expect("link endpoint")] = true;
+    }
+    let mut candidates: Vec<NodeId> = active
+        .iter()
+        .filter_map(|&id| index.get(id))
+        .map(|l| l.from)
+        .filter(|&n| !has_in_link[index.node_pos(n).expect("link endpoint")])
+        .collect();
+    candidates.sort_unstable();
+    candidates.dedup();
+    // One visited set across the candidates: a node an earlier candidate's
+    // search reached without finding a member reaches no member itself, so
+    // skipping it leaves the answer unchanged and the search linear.
+    let member_set: HashSet<NodeId> = members.iter().copied().collect();
+    let mut seen = vec![false; index.node_count()];
+    for &cand in &candidates {
+        if graph.reaches_member(cand, &member_set, &mut seen) {
+            return Some(cand);
+        }
+    }
+    members.first().copied()
+}
+
+/// Out-neighbours along a set of active links, in CSR form over the link
+/// index's node numbering; unresolvable link ids are skipped.
+struct ActiveGraph<'a> {
+    index: &'a LinkIndex<'a>,
+    /// Heads of the links out of position `p` are
+    /// `heads[start[p]..start[p + 1]]`, in active-link order.
+    start: Vec<u32>,
+    heads: Vec<NodeId>,
+}
+
+impl<'a> ActiveGraph<'a> {
+    fn new(index: &'a LinkIndex<'a>, active: &[DirLinkId]) -> Self {
+        let resolved: Vec<LinkView> = active.iter().filter_map(|&id| index.get(id)).collect();
+        let tail = |l: &LinkView| index.node_pos(l.from).expect("link endpoint");
+        let mut start = vec![0u32; index.node_count() + 1];
+        for l in &resolved {
+            start[tail(l) + 1] += 1;
+        }
+        for p in 0..index.node_count() {
+            start[p + 1] += start[p];
+        }
+        let mut fill = start.clone();
+        let mut heads = vec![NodeId(0); resolved.len()];
+        for l in &resolved {
+            let at = &mut fill[tail(l)];
+            heads[*at as usize] = l.to;
+            *at += 1;
+        }
+        ActiveGraph { index, start, heads }
+    }
+
+    /// Breadth-first search from `from` for a node in `members`. Marks
+    /// every node it queues in `seen` and does not enter nodes already
+    /// marked there.
+    fn reaches_member(&self, from: NodeId, members: &HashSet<NodeId>, seen: &mut [bool]) -> bool {
+        if let Some(p) = self.index.node_pos(from) {
+            seen[p] = true;
+        }
+        let mut queue = VecDeque::from([from]);
         while let Some(n) = queue.pop_front() {
             if members.contains(&n) {
                 return true;
             }
-            for l in active.iter().filter_map(view_of) {
-                if l.from == n && seen.insert(l.to) {
-                    queue.push_back(l.to);
+            // A node no view link touches has no out-links.
+            let Some(p) = self.index.node_pos(n) else { continue };
+            for &h in &self.heads[self.start[p] as usize..self.start[p + 1] as usize] {
+                let q = self.index.node_pos(h).expect("link endpoint");
+                if !seen[q] {
+                    seen[q] = true;
+                    queue.push_back(h);
                 }
             }
         }
         false
+    }
+}
+
+/// `LinkIndex::first` sentinel: the list has no entry with this id.
+const NO_LINK: u32 = u32::MAX;
+
+/// The view's directed links indexed by [`DirLinkId`], built in one pass
+/// over a link list; a lookup is then one table read instead of a scan.
+/// Where an id is listed twice the first entry wins, as with
+/// [`TopologyView::link`].
+#[derive(Clone, Debug)]
+pub(crate) struct LinkIndex<'a> {
+    links: &'a [LinkView],
+    ids: Numbering,
+    /// Position in `links` of each id's first entry (`NO_LINK` if none).
+    first: Vec<u32>,
+    /// Numbering of every link endpoint, for node-indexed scratch.
+    nodes: Numbering,
+}
+
+impl<'a> LinkIndex<'a> {
+    pub(crate) fn new(links: &'a [LinkView]) -> Self {
+        let ids = Numbering::new(links.iter().map(|l| l.id.0));
+        let mut first = vec![NO_LINK; ids.len()];
+        for (i, l) in links.iter().enumerate() {
+            let entry = &mut first[ids.get(l.id.0).expect("every listed id is numbered")];
+            if *entry == NO_LINK {
+                *entry = u32::try_from(i).expect("fewer than 2^32 links");
+            }
+        }
+        let nodes = Numbering::new(links.iter().flat_map(|l| [l.from.0, l.to.0]));
+        LinkIndex { links, ids, first, nodes }
+    }
+
+    /// Endpoints of a directed link (`None` for an id the list lacks).
+    pub(crate) fn get(&self, id: DirLinkId) -> Option<LinkView> {
+        let i = self.first[self.ids.get(id.0)?];
+        (i != NO_LINK).then(|| self.links[i as usize])
+    }
+
+    /// Length of a table indexed by [`Self::node_pos`].
+    pub(crate) fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Dense position of `node`; every endpoint of a listed link has one.
+    pub(crate) fn node_pos(&self, node: NodeId) -> Option<usize> {
+        self.nodes.get(node.0)
     }
 }
 
@@ -337,6 +411,189 @@ impl DiscoveryTool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testgen::{random_view, shuffle};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// `restrict` and `without_nodes` as they stood before the linear
+    /// rewrite — a link-list scan per lookup, a fresh search per ingress
+    /// candidate, a member-list scan per visited node — kept as their
+    /// oracle.
+    mod reference {
+        use super::*;
+
+        pub fn restrict(v: &TopologyView, domain: &HashSet<NodeId>) -> TopologyView {
+            let links: Vec<LinkView> = v
+                .links
+                .iter()
+                .copied()
+                .filter(|l| domain.contains(&l.from) && domain.contains(&l.to))
+                .collect();
+            let kept: HashSet<DirLinkId> = links.iter().map(|l| l.id).collect();
+            let groups = v
+                .groups
+                .iter()
+                .map(|g| {
+                    let active_links: Vec<DirLinkId> =
+                        g.active_links.iter().copied().filter(|l| kept.contains(l)).collect();
+                    let member_nodes: Vec<NodeId> =
+                        g.member_nodes.iter().copied().filter(|n| domain.contains(n)).collect();
+                    let root = if domain.contains(&g.root) {
+                        g.root
+                    } else {
+                        domain_ingress(&links, &active_links, &member_nodes).unwrap_or(g.root)
+                    };
+                    GroupSnapshot { group: g.group, root, active_links, member_nodes }
+                })
+                .collect();
+            TopologyView { time: v.time, links, groups }
+        }
+
+        fn domain_ingress(
+            domain_links: &[LinkView],
+            active: &[DirLinkId],
+            members: &[NodeId],
+        ) -> Option<NodeId> {
+            let view_of = |id: &DirLinkId| domain_links.iter().find(|l| l.id == *id).copied();
+            let heads: HashSet<NodeId> = active.iter().filter_map(view_of).map(|l| l.to).collect();
+            let mut candidates: Vec<NodeId> = active
+                .iter()
+                .filter_map(view_of)
+                .map(|l| l.from)
+                .filter(|n| !heads.contains(n))
+                .collect();
+            candidates.sort_unstable();
+            candidates.dedup();
+            for &cand in &candidates {
+                let mut seen = HashSet::from([cand]);
+                let mut queue = VecDeque::from([cand]);
+                while let Some(n) = queue.pop_front() {
+                    if members.contains(&n) {
+                        return Some(cand);
+                    }
+                    for l in active.iter().filter_map(view_of) {
+                        if l.from == n && seen.insert(l.to) {
+                            queue.push_back(l.to);
+                        }
+                    }
+                }
+            }
+            members.first().copied()
+        }
+
+        pub fn without_nodes(v: &TopologyView, hidden: &[NodeId]) -> TopologyView {
+            let mut domain = v.known_nodes();
+            for n in hidden {
+                domain.remove(n);
+            }
+            let mut v = restrict(v, &domain);
+            let rebased: Vec<Option<NodeId>> = v
+                .groups
+                .iter()
+                .map(|g| {
+                    if g.member_nodes.is_empty()
+                        || root_reaches_member(&v.links, &g.active_links, g.root, &g.member_nodes)
+                    {
+                        None
+                    } else {
+                        domain_ingress(&v.links, &g.active_links, &g.member_nodes)
+                    }
+                })
+                .collect();
+            for (g, r) in v.groups.iter_mut().zip(rebased) {
+                if let Some(r) = r {
+                    g.root = r;
+                }
+            }
+            v
+        }
+
+        fn root_reaches_member(
+            links: &[LinkView],
+            active: &[DirLinkId],
+            root: NodeId,
+            members: &[NodeId],
+        ) -> bool {
+            let view_of = |id: &DirLinkId| links.iter().find(|l| l.id == *id).copied();
+            let mut seen = HashSet::from([root]);
+            let mut queue = VecDeque::from([root]);
+            while let Some(n) = queue.pop_front() {
+                if members.contains(&n) {
+                    return true;
+                }
+                for l in active.iter().filter_map(view_of) {
+                    if l.from == n && seen.insert(l.to) {
+                        queue.push_back(l.to);
+                    }
+                }
+            }
+            false
+        }
+    }
+
+    fn same_view(a: &TopologyView, b: &TopologyView) -> Result<(), String> {
+        if a.time == b.time && a.links == b.links && a.groups == b.groups {
+            Ok(())
+        } else {
+            Err(format!("views differ:\n{a:?}\n{b:?}"))
+        }
+    }
+
+    /// `restrict(domain)` and `without_nodes(hidden)` match the reference.
+    fn compare(
+        v: &TopologyView,
+        domain: &HashSet<NodeId>,
+        hidden: &[NodeId],
+    ) -> Result<(), String> {
+        same_view(&v.restrict(domain), &reference::restrict(v, domain))?;
+        same_view(&v.without_nodes(hidden), &reference::without_nodes(v, hidden))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A random domain over a random view (each node kept with a drawn
+        /// probability, the base root dropped now and then so the ingress
+        /// search runs), and a few hidden nodes.
+        #[test]
+        fn restrict_and_without_nodes_match_the_reference(seed in any::<u64>(), max_nodes in 1usize..40) {
+            let rv = random_view(seed, max_nodes);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let keep = rng.gen_range(0.3..1.0);
+            let mut domain: HashSet<NodeId> =
+                rv.nodes.iter().copied().filter(|_| rng.gen_bool(keep)).collect();
+            if rng.gen_bool(0.5) {
+                domain.remove(&rv.nodes[0]);
+            }
+            let mut hidden = rv.nodes.clone();
+            shuffle(&mut rng, &mut hidden);
+            hidden.truncate(rng.gen_range(0..4usize));
+            if let Err(msg) = compare(&rv.view, &domain, &hidden) {
+                return Err(TestCaseError::fail(msg));
+            }
+        }
+    }
+
+    /// The same comparison on a domain of over 1,000 nodes, where the
+    /// reference's per-node link scans dominate: every node but the root
+    /// (so the ingress search runs) and a few others.
+    #[test]
+    fn restrict_and_without_nodes_match_the_reference_on_a_large_domain() {
+        let rv =
+            (0..).map(|seed| random_view(seed, 1600)).find(|rv| rv.nodes.len() > 1100).unwrap();
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut hidden = rv.nodes.clone();
+        shuffle(&mut rng, &mut hidden);
+        hidden.truncate(20);
+        let mut domain: HashSet<NodeId> = rv.nodes.iter().copied().collect();
+        domain.remove(&rv.nodes[0]);
+        for n in &hidden {
+            domain.remove(n);
+        }
+        assert!(domain.len() >= 1000);
+        compare(&rv.view, &domain, &hidden).unwrap();
+    }
 
     fn view_at(secs: u64) -> TopologyView {
         TopologyView { time: SimTime::from_secs(secs), links: Vec::new(), groups: Vec::new() }

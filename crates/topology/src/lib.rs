@@ -14,11 +14,15 @@
 //!   paper's evaluation topologies (Fig. 5 A and B, the Fig. 1 example, and
 //!   tiered Fig. 2-style random trees).
 
+mod dense;
 pub mod discovery;
 pub mod generators;
 pub mod session_tree;
 pub mod spec;
 pub mod tree;
+
+#[cfg(test)]
+mod testgen;
 
 pub use discovery::{DiscoveryTool, LinkView, SnapshotError, TopologyView};
 pub use session_tree::SessionTree;

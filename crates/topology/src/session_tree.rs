@@ -6,10 +6,12 @@
 //! receives layers `0..i`), the overlay is itself a tree, rooted at the
 //! source — the structure every TopoSense stage operates on.
 
-use crate::discovery::TopologyView;
+use crate::discovery::{LinkIndex, TopologyView};
 use crate::tree::{DirtySet, Tree, TreeError};
 use netsim::{DirLinkId, GroupId, NodeId, SessionId};
-use std::collections::HashMap;
+
+/// `edge_of` sentinel: no active link into the node yet.
+const NO_EDGE: u32 = u32::MAX;
 
 /// The overlay of one session's per-layer trees.
 ///
@@ -30,54 +32,55 @@ pub struct SessionTree {
 }
 
 impl SessionTree {
-    /// Build from a discovery snapshot.
+    /// Build from a discovery snapshot, in time linear in the view's size.
     ///
     /// `groups[k]` must be the group carrying layer `k` of `session`; the
     /// session root is taken from the base-layer group. Links active for a
     /// higher layer but not the base layer still enter the overlay (this can
-    /// happen transiently while prunes are in flight).
+    /// happen transiently while prunes are in flight). A malformed view — no
+    /// base-layer group, or a group active on a link the view does not list
+    /// — is an error, like a view whose active links do not form a tree.
     pub fn build(
         view: &TopologyView,
         session: SessionId,
         groups: &[GroupId],
     ) -> Result<Self, TreeError> {
         assert!(!groups.is_empty(), "a session needs at least a base layer");
-        let root = view
-            .group(groups[0])
-            .map(|g| g.root)
-            .expect("base-layer group missing from topology view");
+        let root = view.group(groups[0]).ok_or(TreeError::MissingBaseLayer(groups[0]))?.root;
 
-        let mut max_layer_in: HashMap<NodeId, u8> = HashMap::new();
-        let mut in_link: HashMap<NodeId, DirLinkId> = HashMap::new();
+        // The first active link into a node makes its overlay edge; later
+        // ones (same node, any layer) only raise the edge's max layer.
+        // `edge_of` is indexed by the node's dense position in the view.
+        let index = LinkIndex::new(&view.links);
+        let mut edge_of = vec![NO_EDGE; index.node_count()];
         let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
+        let mut attrs: Vec<(u8, DirLinkId)> = Vec::new();
         for (layer, &gid) in groups.iter().enumerate() {
             let Some(snap) = view.group(gid) else { continue };
             for &lid in &snap.active_links {
-                let lv = view.link(lid).expect("group active on unknown link");
-                match max_layer_in.entry(lv.to) {
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(layer as u8);
-                        in_link.insert(lv.to, lid);
-                        edges.push((lv.from, lv.to));
-                    }
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        let cur = e.get_mut();
-                        *cur = (*cur).max(layer as u8);
-                    }
+                let lv = index.get(lid).ok_or(TreeError::UnknownLink(lid))?;
+                let e = &mut edge_of[index.node_pos(lv.to).expect("link endpoint")];
+                if *e == NO_EDGE {
+                    *e = edges.len() as u32;
+                    edges.push((lv.from, lv.to));
+                    attrs.push((layer as u8, lid));
+                } else {
+                    let cur = &mut attrs[*e as usize].0;
+                    *cur = (*cur).max(layer as u8);
                 }
             }
         }
         let tree = Tree::from_edges(root, &edges)?;
-        // Re-key the per-edge attributes by dense slot. Every key has a
-        // matching edge, so every key is in the tree.
-        let mut max_layer_v = vec![0u8; tree.len()];
-        let mut in_link_v = vec![DirLinkId(u32::MAX); tree.len()];
-        for (&node, &layer) in &max_layer_in {
-            let s = tree.slot_of(node).expect("attributed node missing from tree");
-            max_layer_v[s] = layer;
-            in_link_v[s] = in_link[&node];
+        // Re-key the per-edge attributes by dense slot: every non-root slot
+        // holds the child of exactly one edge.
+        let mut max_layer_in = vec![0u8; tree.len()];
+        let mut in_link = vec![DirLinkId(u32::MAX); tree.len()];
+        for s in 1..tree.len() {
+            let node = tree.node_at(s);
+            let e = edge_of[index.node_pos(node).expect("tree node is a link endpoint")];
+            (max_layer_in[s], in_link[s]) = attrs[e as usize];
         }
-        Ok(SessionTree { session, tree, max_layer_in: max_layer_v, in_link: in_link_v })
+        Ok(SessionTree { session, tree, max_layer_in, in_link })
     }
 
     /// Which session this tree describes.
@@ -167,7 +170,171 @@ impl SessionTree {
 mod tests {
     use super::*;
     use crate::discovery::LinkView;
+    use crate::testgen::random_view;
     use netsim::{GroupSnapshot, SimTime};
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// The overlay build as it stood before the dense rewrite — a
+    /// `HashMap` per attribute and a linear scan per link lookup — kept as
+    /// the oracle for [`SessionTree::build`]. Panics on a missing base
+    /// layer or an unlisted active link, as it always did.
+    fn reference_build(
+        view: &TopologyView,
+        session: SessionId,
+        groups: &[GroupId],
+    ) -> Result<SessionTree, TreeError> {
+        assert!(!groups.is_empty(), "a session needs at least a base layer");
+        let root = view
+            .group(groups[0])
+            .map(|g| g.root)
+            .expect("base-layer group missing from topology view");
+
+        let mut max_layer_in: HashMap<NodeId, u8> = HashMap::new();
+        let mut in_link: HashMap<NodeId, DirLinkId> = HashMap::new();
+        let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
+        for (layer, &gid) in groups.iter().enumerate() {
+            let Some(snap) = view.group(gid) else { continue };
+            for &lid in &snap.active_links {
+                let lv = view.link(lid).expect("group active on unknown link");
+                match max_layer_in.entry(lv.to) {
+                    std::collections::hash_map::Entry::Vacant(e) => {
+                        e.insert(layer as u8);
+                        in_link.insert(lv.to, lid);
+                        edges.push((lv.from, lv.to));
+                    }
+                    std::collections::hash_map::Entry::Occupied(mut e) => {
+                        let cur = e.get_mut();
+                        *cur = (*cur).max(layer as u8);
+                    }
+                }
+            }
+        }
+        let tree = Tree::from_edges(root, &edges)?;
+        let mut max_layer_v = vec![0u8; tree.len()];
+        let mut in_link_v = vec![DirLinkId(u32::MAX); tree.len()];
+        for (&node, &layer) in &max_layer_in {
+            let s = tree.slot_of(node).expect("attributed node missing from tree");
+            max_layer_v[s] = layer;
+            in_link_v[s] = in_link[&node];
+        }
+        Ok(SessionTree { session, tree, max_layer_in: max_layer_v, in_link: in_link_v })
+    }
+
+    /// What the dense build must return for `view`: the oracle's result,
+    /// or — where the oracle panics — the matching malformed-view error.
+    fn expected_build(view: &TopologyView, groups: &[GroupId]) -> Result<SessionTree, TreeError> {
+        if view.group(groups[0]).is_none() {
+            return Err(TreeError::MissingBaseLayer(groups[0]));
+        }
+        let unlisted = groups
+            .iter()
+            .filter_map(|&g| view.group(g))
+            .flat_map(|snap| snap.active_links.iter().copied())
+            .find(|&lid| view.link(lid).is_none());
+        match unlisted {
+            Some(lid) => Err(TreeError::UnknownLink(lid)),
+            None => reference_build(view, SessionId(4), groups),
+        }
+    }
+
+    /// `Ok(())` when the two builds agree: equal errors, or overlays equal
+    /// slot by slot (node order, structure, links and layers).
+    fn same_build(
+        got: &Result<SessionTree, TreeError>,
+        want: &Result<SessionTree, TreeError>,
+    ) -> Result<(), String> {
+        match (got, want) {
+            (Ok(a), Ok(b)) => {
+                if a.session() != b.session() || a.tree().len() != b.tree().len() {
+                    return Err(format!("session or size differs: {a:?} vs {b:?}"));
+                }
+                for s in a.tree().slots() {
+                    if a.tree().node_at(s) != b.tree().node_at(s) {
+                        return Err(format!("slot {s} holds a different node"));
+                    }
+                }
+                if !a.structure_eq(b) {
+                    return Err(format!("overlays differ: {a:?} vs {b:?}"));
+                }
+                Ok(())
+            }
+            (Err(a), Err(b)) if a == b => Ok(()),
+            _ => Err(format!("got {got:?}, want {want:?}")),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn dense_build_matches_the_reference(seed in any::<u64>(), max_nodes in 1usize..48) {
+            let rv = random_view(seed, max_nodes);
+            let got = SessionTree::build(&rv.view, SessionId(4), &rv.groups);
+            let want = expected_build(&rv.view, &rv.groups);
+            if let Err(msg) = same_build(&got, &want) {
+                return Err(TestCaseError::fail(msg));
+            }
+        }
+    }
+
+    /// The random views reach every outcome the build can have. The build
+    /// keeps only the first active link into each node, so its edge list
+    /// never names a child twice and `TwoParents` cannot arise here (the
+    /// tree-level differential test covers it).
+    #[test]
+    fn random_views_reach_every_build_outcome() {
+        let mut seen = [0usize; 5];
+        for seed in 0..600 {
+            let rv = random_view(seed, 30);
+            let got = SessionTree::build(&rv.view, SessionId(4), &rv.groups);
+            same_build(&got, &expected_build(&rv.view, &rv.groups)).unwrap();
+            let kind = match got {
+                Ok(_) => 0,
+                Err(TreeError::RootHasParent) => 1,
+                Err(TreeError::Disconnected(_)) => 2,
+                Err(TreeError::UnknownLink(_)) => 3,
+                Err(TreeError::MissingBaseLayer(_)) => 4,
+                Err(TreeError::TwoParents(_)) => panic!("build passed a child twice"),
+            };
+            seen[kind] += 1;
+        }
+        assert!(
+            seen.iter().all(|&k| k > 0),
+            "outcomes [ok, root, disconnected, unknown, base]: {seen:?}"
+        );
+        assert!(seen[0] > 300, "most random views should overlay into trees: {seen:?}");
+    }
+
+    #[test]
+    fn unlisted_active_link_is_an_error() {
+        let v = view(vec![snap(0, vec![l(0), l(9)], vec![n(1)])]);
+        let e = SessionTree::build(&v, SessionId(0), &[GroupId(0)]).unwrap_err();
+        assert_eq!(e, TreeError::UnknownLink(l(9)));
+        // Also on a higher layer, after a valid base layer.
+        let v = view(vec![snap(0, vec![l(0)], vec![n(1)]), snap(1, vec![l(7)], vec![n(1)])]);
+        let e = SessionTree::build(&v, SessionId(0), &[GroupId(0), GroupId(1)]).unwrap_err();
+        assert_eq!(e, TreeError::UnknownLink(l(7)));
+    }
+
+    #[test]
+    fn missing_base_layer_is_an_error() {
+        // Only the higher layer is in the view.
+        let v = view(vec![snap(1, vec![l(0)], vec![n(1)])]);
+        let e = SessionTree::build(&v, SessionId(0), &[GroupId(0), GroupId(1)]).unwrap_err();
+        assert_eq!(e, TreeError::MissingBaseLayer(GroupId(0)));
+    }
+
+    #[test]
+    fn first_listed_duplicate_link_wins() {
+        // Link 2 listed twice: first as 1 -> 2, then reversed. The overlay
+        // follows the first entry, as a front-to-back scan would.
+        let mut v = view(vec![snap(0, vec![l(0), l(2)], vec![n(2)])]);
+        v.links.push(LinkView { id: l(2), from: n(2), to: n(1) });
+        let st = SessionTree::build(&v, SessionId(0), &[GroupId(0)]).unwrap();
+        assert_eq!(st.tree().parent(n(2)), Some(n(1)));
+        assert_eq!(st.in_link(n(2)), Some(l(2)));
+    }
 
     fn n(i: u32) -> NodeId {
         NodeId(i)

@@ -5,7 +5,8 @@
 //! flow **top-down**. [`Tree`] stores nodes in BFS order so both passes are
 //! simple slice iterations.
 
-use netsim::NodeId;
+use crate::dense::Numbering;
+use netsim::{DirLinkId, GroupId, NodeId};
 use std::collections::HashMap;
 
 /// Sentinel slot meaning "no parent" (only the root carries it).
@@ -36,7 +37,8 @@ pub struct Tree {
     child_start: Vec<u32>,
 }
 
-/// Error building a tree from an edge list.
+/// Error building a tree from an edge list, or a session overlay from a
+/// topology view.
 #[derive(Debug, PartialEq, Eq)]
 pub enum TreeError {
     /// A node was given two parents.
@@ -45,6 +47,10 @@ pub enum TreeError {
     RootHasParent,
     /// An edge's parent is not reachable from the root (cycle or orphan).
     Disconnected(NodeId),
+    /// A session's base-layer group is missing from the topology view.
+    MissingBaseLayer(GroupId),
+    /// A group is active on a link the topology view does not list.
+    UnknownLink(DirLinkId),
 }
 
 impl Tree {
@@ -54,50 +60,66 @@ impl Tree {
     /// [`TreeError::Disconnected`]; duplicate parents produce
     /// [`TreeError::TwoParents`]. A root-only tree (no edges) is valid.
     pub fn from_edges(root: NodeId, edges: &[(NodeId, NodeId)]) -> Result<Self, TreeError> {
-        let mut parent = HashMap::with_capacity(edges.len());
-        let mut children: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
+        // Node-indexed scratch over the dense numbering of the edges' ids.
+        let ids = Numbering::new(
+            std::iter::once(root.0).chain(edges.iter().flat_map(|&(p, c)| [p.0, c.0])),
+        );
+        let pos = |n: NodeId| ids.get(n.0).expect("every endpoint is numbered");
+        let mut has_parent = vec![false; ids.len()];
+        // CSR children by parent: a stable counting sort of the edges, so
+        // each node's children keep their edge order, which fixes the BFS
+        // order below and with it every slot.
+        let mut kids_start = vec![0u32; ids.len() + 1];
         for &(p, c) in edges {
             if c == root {
                 return Err(TreeError::RootHasParent);
             }
-            if parent.insert(c, p).is_some() {
+            if std::mem::replace(&mut has_parent[pos(c)], true) {
                 return Err(TreeError::TwoParents(c));
             }
-            children.entry(p).or_default().push(c);
+            kids_start[pos(p) + 1] += 1;
         }
-        // BFS to establish order and check connectivity.
+        for i in 0..ids.len() {
+            kids_start[i + 1] += kids_start[i];
+        }
+        let mut fill = kids_start.clone();
+        let mut kids = vec![root; edges.len()];
+        for &(p, c) in edges {
+            let at = &mut fill[pos(p)];
+            kids[*at as usize] = c;
+            *at += 1;
+        }
+        // BFS to establish order and check connectivity. BFS appends each
+        // node's children as one contiguous block, so the CSR child index
+        // by slot is the order's length after each block.
         let mut order = Vec::with_capacity(edges.len() + 1);
         order.push(root);
+        let mut child_start = Vec::with_capacity(edges.len() + 2);
+        child_start.push(1u32);
         let mut i = 0;
         while i < order.len() {
-            let n = order[i];
+            let p = pos(order[i]);
             i += 1;
-            if let Some(cs) = children.get(&n) {
-                order.extend(cs.iter().copied());
-            }
+            order.extend_from_slice(&kids[kids_start[p] as usize..kids_start[p + 1] as usize]);
+            child_start.push(order.len() as u32);
         }
         if order.len() != edges.len() + 1 {
-            // Some edge's subtree never got visited.
+            // Some edge's subtree never got visited: report the first such
+            // child in edge order.
+            let mut reached = vec![false; ids.len()];
+            for &n in &order {
+                reached[pos(n)] = true;
+            }
             let unreachable = edges
                 .iter()
                 .map(|&(_, c)| c)
-                .find(|c| !order.contains(c))
+                .find(|&c| !reached[pos(c)])
                 .expect("count mismatch implies an unreachable child");
             return Err(TreeError::Disconnected(unreachable));
         }
-        drop(parent);
-        // Dense indexes. BFS appends each node's children as one contiguous
-        // block, so the CSR child index is a prefix sum over child counts in
-        // slot order.
         let mut slot = HashMap::with_capacity(order.len());
         for (i, &node) in order.iter().enumerate() {
             slot.insert(node, i as u32);
-        }
-        let mut child_start = Vec::with_capacity(order.len() + 1);
-        child_start.push(1u32);
-        for &node in &order {
-            let n = children.get(&node).map_or(0, |cs| cs.len());
-            child_start.push(child_start.last().unwrap() + n as u32);
         }
         let mut parent_slot = vec![NO_SLOT; order.len()];
         for s in 0..order.len() {
@@ -412,9 +434,129 @@ impl DirtySet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testgen::random_edges;
+    use proptest::prelude::*;
 
     fn n(i: u32) -> NodeId {
         NodeId(i)
+    }
+
+    /// `Tree::from_edges` as it stood before the dense rewrite —
+    /// `HashMap`s for parents and child lists, and a linear `contains` on
+    /// the `Disconnected` path — kept as its oracle.
+    fn reference_from_edges(root: NodeId, edges: &[(NodeId, NodeId)]) -> Result<Tree, TreeError> {
+        let mut parent = HashMap::with_capacity(edges.len());
+        let mut children: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
+        for &(p, c) in edges {
+            if c == root {
+                return Err(TreeError::RootHasParent);
+            }
+            if parent.insert(c, p).is_some() {
+                return Err(TreeError::TwoParents(c));
+            }
+            children.entry(p).or_default().push(c);
+        }
+        let mut order = Vec::with_capacity(edges.len() + 1);
+        order.push(root);
+        let mut i = 0;
+        while i < order.len() {
+            let n = order[i];
+            i += 1;
+            if let Some(cs) = children.get(&n) {
+                order.extend(cs.iter().copied());
+            }
+        }
+        if order.len() != edges.len() + 1 {
+            let unreachable = edges
+                .iter()
+                .map(|&(_, c)| c)
+                .find(|c| !order.contains(c))
+                .expect("count mismatch implies an unreachable child");
+            return Err(TreeError::Disconnected(unreachable));
+        }
+        let mut slot = HashMap::with_capacity(order.len());
+        for (i, &node) in order.iter().enumerate() {
+            slot.insert(node, i as u32);
+        }
+        let mut child_start = Vec::with_capacity(order.len() + 1);
+        child_start.push(1u32);
+        for &node in &order {
+            let n = children.get(&node).map_or(0, |cs| cs.len());
+            child_start.push(child_start.last().unwrap() + n as u32);
+        }
+        let mut parent_slot = vec![NO_SLOT; order.len()];
+        for s in 0..order.len() {
+            for c in child_start[s]..child_start[s + 1] {
+                parent_slot[c as usize] = s as u32;
+            }
+        }
+        Ok(Tree { root, order, slot, parent_slot, child_start })
+    }
+
+    /// Equal errors, or equal trees down to every index array.
+    fn same_tree(got: &Result<Tree, TreeError>, want: &Result<Tree, TreeError>) -> bool {
+        match (got, want) {
+            (Ok(a), Ok(b)) => {
+                a.structure_eq(b) && a.parent_slot == b.parent_slot && a.slot == b.slot
+            }
+            (Err(a), Err(b)) => a == b,
+            _ => false,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn dense_from_edges_matches_the_reference(seed in any::<u64>(), max_nodes in 1usize..64) {
+            let (root, edges) = random_edges(seed, max_nodes);
+            let got = Tree::from_edges(root, &edges);
+            let want = reference_from_edges(root, &edges);
+            prop_assert!(same_tree(&got, &want), "got {:?}, want {:?}", got, want);
+        }
+    }
+
+    #[test]
+    fn random_edge_lists_reach_every_outcome() {
+        let mut seen = [0usize; 4];
+        for seed in 0..400 {
+            let (root, edges) = random_edges(seed, 40);
+            let got = Tree::from_edges(root, &edges);
+            assert!(same_tree(&got, &reference_from_edges(root, &edges)), "seed {seed}");
+            seen[match got {
+                Ok(_) => 0,
+                Err(TreeError::TwoParents(_)) => 1,
+                Err(TreeError::RootHasParent) => 2,
+                Err(TreeError::Disconnected(_)) => 3,
+                Err(e) => panic!("edge lists cannot produce {e:?}"),
+            }] += 1;
+        }
+        assert!(seen.iter().all(|&k| k > 0), "outcomes [ok, two, root, disconnected]: {seen:?}");
+    }
+
+    #[test]
+    fn disconnected_reports_the_first_unreachable_child_in_edge_order() {
+        // Two orphan edges, listed 7 then 6: the first one listed is named,
+        // whatever the node ids.
+        let e = Tree::from_edges(n(0), &[(n(0), n(1)), (n(9), n(7)), (n(5), n(6))]);
+        assert_eq!(e.unwrap_err(), TreeError::Disconnected(n(7)));
+        let e = Tree::from_edges(n(0), &[(n(5), n(6)), (n(0), n(1)), (n(9), n(7))]);
+        assert_eq!(e.unwrap_err(), TreeError::Disconnected(n(6)));
+    }
+
+    #[test]
+    fn sparse_node_ids_build_the_same_tree() {
+        // Ids near `u32::MAX` take the ranked numbering; the tree is the
+        // one the compact ids give, relabelled.
+        let big = |i: u32| NodeId(u32::MAX - i);
+        let t = Tree::from_edges(
+            big(0),
+            &[(big(0), big(1)), (big(1), big(2)), (big(1), big(5)), (big(2), big(3))],
+        )
+        .unwrap();
+        let order: Vec<NodeId> = t.top_down().collect();
+        assert_eq!(order, vec![big(0), big(1), big(2), big(5), big(3)]);
+        assert_eq!(t.children(big(1)), &[big(2), big(5)]);
     }
 
     /// The Fig. 1 tree: 0 -> 1, 1 -> {2, 5}, 2 -> {3, 4}.
